@@ -1237,7 +1237,7 @@ fn e3_runtime_overhead() {
         nb.shutdown();
     }
     println!(
-        "[expected shape: both dominated by the fixed bid window; mild growth with node count]"
+        "[expected shape: both well under the bid window, which closes once every addressed member has bid; grows with node count (more bids to collect)]"
     );
 }
 

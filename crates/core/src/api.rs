@@ -66,7 +66,11 @@ impl std::error::Error for ClientError {}
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// How long to collect JobManager bids.
+    /// The longest to collect JobManager bids: a timeout, not a fixed
+    /// cost. Collection stops as soon as every JobManager the solicitation
+    /// reached has bid; the window runs out only when one declines, is
+    /// dropped or is slow, or when the fabric cannot count its reach (a
+    /// socket fabric whose solicitation left the process as a datagram).
     pub bid_window: Duration,
     /// How many times to re-multicast the solicitation when a bid window
     /// closes with no bids (willing managers can miss a window under
@@ -104,6 +108,7 @@ pub struct CnApi {
     c_jobs: Counter,
     c_tasks: Counter,
     c_solicits: Counter,
+    c_closed_early: Counter,
     c_bids: Counter,
     dispatch: Histogram,
 }
@@ -137,6 +142,7 @@ impl CnApi {
             c_jobs: rec.counter("api.jobs_created"),
             c_tasks: rec.counter("api.tasks_created"),
             c_solicits: rec.counter("api.jm_solicitations"),
+            c_closed_early: rec.counter("api.discovery_closed_early"),
             c_bids: rec.counter("api.jm_bids_received"),
             dispatch: rec.histogram("api.dispatch_latency_us", LATENCY_BUCKETS_US),
             rec,
@@ -161,13 +167,19 @@ impl CnApi {
         let mut bids: Vec<Bid> = Vec::new();
         for _attempt in 0..=self.config.discovery_retries {
             self.c_solicits.inc();
-            self.net.multicast(
-                addr,
-                cn_cluster::DISCOVERY_GROUP,
-                NetMsg::SolicitJobManager { job, requirements: *requirements, reply_to: addr },
-            );
+            // A retry only follows a window with no bids, so every bid held
+            // answers this attempt: once there is one per addressed member,
+            // the window holds every bid a full window would.
+            let reach = self
+                .net
+                .multicast(
+                    addr,
+                    cn_cluster::DISCOVERY_GROUP,
+                    NetMsg::SolicitJobManager { job, requirements: *requirements, reply_to: addr },
+                )
+                .unwrap_or(usize::MAX);
             let deadline = Instant::now() + self.config.bid_window;
-            loop {
+            while bids.len() < reach {
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
                     break;
@@ -182,6 +194,9 @@ impl CnApi {
                 } else {
                     break;
                 }
+            }
+            if bids.len() >= reach {
+                self.c_closed_early.inc();
             }
             if !bids.is_empty() {
                 break;

@@ -35,7 +35,12 @@ use crate::tuplespace::Tuple;
 /// Tunables for a server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// How long the JobManager collects TaskManager bids before selecting.
+    /// The longest the JobManager collects TaskManager bids before
+    /// selecting: a timeout, not a fixed cost. Collection stops as soon as
+    /// every member the solicitation reached has bid; the window runs out
+    /// only when one declines, is dropped or is slow, or when the fabric
+    /// cannot count its reach (a socket fabric whose solicitation left the
+    /// process as a datagram).
     pub bid_window: Duration,
     /// How long the JobManager waits for an AssignAck from a remote TM.
     pub assign_timeout: Duration,
@@ -120,6 +125,7 @@ impl CnServer {
             c_jm_bids: rec.counter("server.jm_bids_sent"),
             c_tm_bids: rec.counter("server.tm_bids_sent"),
             c_task_solicits: rec.counter("server.task_solicitations"),
+            c_windows_closed_early: rec.counter("server.bid_windows_closed_early"),
             c_tasks_started: rec.counter("server.tasks_started"),
             c_tasks_completed: rec.counter("server.tasks_completed"),
             c_tasks_failed: rec.counter("server.tasks_failed"),
@@ -235,6 +241,7 @@ struct ServerState {
     c_jm_bids: Counter,
     c_tm_bids: Counter,
     c_task_solicits: Counter,
+    c_windows_closed_early: Counter,
     c_tasks_started: Counter,
     c_tasks_completed: Counter,
     c_tasks_failed: Counter,
@@ -461,31 +468,49 @@ impl ServerState {
         // Multicast solicitation (the paper's "JobManager solicits
         // TaskManager for the Tasks").
         self.c_task_solicits.inc();
-        self.net.multicast(
-            self.addr,
-            cn_cluster::DISCOVERY_GROUP,
-            NetMsg::SolicitTaskManager {
-                job,
-                task: spec.name.clone(),
-                memory_mb: spec.memory_mb,
-                reply_to: self.addr,
-            },
-        );
+        let reach = self
+            .net
+            .multicast(
+                self.addr,
+                cn_cluster::DISCOVERY_GROUP,
+                NetMsg::SolicitTaskManager {
+                    job,
+                    task: spec.name.clone(),
+                    memory_mb: spec.memory_mb,
+                    reply_to: self.addr,
+                },
+            )
+            .unwrap_or(usize::MAX);
         let mut bids: Vec<Bid> = Vec::new();
         // Our own TM is evaluated locally (multicast excludes the sender).
         if self.node.can_host(spec.memory_mb) {
             bids.push(self.own_bid());
         }
+        // Each addressed member bids at most once, so once every one of
+        // them has, the window holds exactly the bid set a full window
+        // would. Bids are kept one per address: when a task name is
+        // retried, a member's late bid for the earlier solicitation and its
+        // bid for this one count once, so neither stands in for a member
+        // yet to answer. The window is the timeout for members that
+        // decline, are dropped or are slow.
+        let mut remote_bidders = 0;
         let deadline = Instant::now() + self.config.bid_window;
-        while let Some(env) = self.pump.recv_deadline(deadline) {
+        while remote_bidders < reach {
+            let Some(env) = self.pump.recv_deadline(deadline) else { break };
             match env.msg {
                 NetMsg::TaskManagerBid { job: bjob, task, bid }
                     if bjob == job && task == spec.name =>
                 {
-                    bids.push(bid)
+                    if !bids.iter().any(|b| b.addr == bid.addr) {
+                        remote_bidders += 1;
+                        bids.push(bid);
+                    }
                 }
                 _ => self.pump.stash(env),
             }
+        }
+        if remote_bidders >= reach {
+            self.c_windows_closed_early.inc();
         }
         // Try bidders in policy order: a TaskManager may still reject (its
         // state can change between bid and assignment) or time out, in

@@ -83,10 +83,15 @@ pub trait Fabric<M: Send + Clone + 'static>: Send + Sync {
         self.send(from, last, msg)?;
         Ok(tos.len())
     }
-    /// Multicast to every group member except the sender; returns how many
-    /// destinations the message was addressed to (local members plus, for
-    /// the socket fabric, remote datagrams sent).
-    fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize;
+    /// Multicast to every group member except the sender. Returns the
+    /// solicitation's reach: `Some(n)` when the fabric knows every
+    /// endpoint the message was addressed to (a partitioned or crashed
+    /// member still counts: it was addressed, it just will not answer),
+    /// `None` when some recipients are unknowable — the socket fabric
+    /// returns `None` whenever a datagram left the process. Bid windows
+    /// close early once `n` distinct members have answered; with `None`
+    /// they always run to their timeout.
+    fn multicast(&self, from: Addr, group: GroupId, msg: M) -> Option<usize>;
     /// The observability handle this fabric records into.
     fn recorder(&self) -> &Recorder;
     /// True when every endpoint lives in this process (so `Arc`-shared
@@ -116,8 +121,8 @@ impl<M: Send + Clone + 'static> Fabric<M> for Network<M> {
         Network::send(self, from, to, msg)
     }
 
-    fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
-        Network::multicast(self, from, group, msg)
+    fn multicast(&self, from: Addr, group: GroupId, msg: M) -> Option<usize> {
+        Some(Network::multicast(self, from, group, msg))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -170,7 +175,7 @@ impl<M: Send + Clone + 'static> FabricHandle<M> {
         self.inner.send_many(from, tos, msg)
     }
 
-    pub fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
+    pub fn multicast(&self, from: Addr, group: GroupId, msg: M) -> Option<usize> {
         self.inner.multicast(from, group, msg)
     }
 
@@ -205,9 +210,33 @@ mod tests {
         assert_eq!(rx_b.recv().unwrap().msg, 9);
         fabric.join_group(b, DISCOVERY_GROUP);
         fabric.join_group(a, DISCOVERY_GROUP);
-        assert_eq!(fabric.multicast(a, DISCOVERY_GROUP, 1), 1);
+        assert_eq!(fabric.multicast(a, DISCOVERY_GROUP, 1), Some(1));
         fabric.unregister(b);
         assert_eq!(fabric.send(a, b, 2), Err(SendError::UnknownAddr(b)));
+    }
+
+    #[test]
+    fn network_reach_counts_every_addressed_member() {
+        let net: Network<u32> = Network::new(LatencyModel::zero(), 7);
+        let fabric: FabricHandle<u32> = net.clone().into();
+        let (a, _rx_a) = fabric.register();
+        let members: Vec<_> = (0..3).map(|_| fabric.register()).collect();
+        for (addr, _) in &members {
+            fabric.join_group(*addr, DISCOVERY_GROUP);
+        }
+        // The sender is not part of the reach, joined or not.
+        fabric.join_group(a, DISCOVERY_GROUP);
+        assert_eq!(fabric.multicast(a, DISCOVERY_GROUP, 1), Some(3));
+        assert_eq!(members[0].1.recv().unwrap().msg, 1);
+        // A partitioned member was still addressed: it counts, and the
+        // bid window waits for it until the timeout.
+        net.partition(members[0].0);
+        assert_eq!(fabric.multicast(a, DISCOVERY_GROUP, 2), Some(3));
+        assert!(members[0].1.try_recv().is_err());
+        fabric.leave_group(members[1].0, DISCOVERY_GROUP);
+        assert_eq!(fabric.multicast(a, DISCOVERY_GROUP, 3), Some(2));
+        fabric.unregister(members[2].0);
+        assert_eq!(fabric.multicast(a, DISCOVERY_GROUP, 4), Some(1));
     }
 
     #[test]

@@ -405,7 +405,7 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
         Ok(tos.len())
     }
 
-    fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
+    fn multicast(&self, from: Addr, group: GroupId, msg: M) -> Option<usize> {
         self.inner.do_multicast(from, group, msg)
     }
 
@@ -467,7 +467,10 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
         }
     }
 
-    fn do_multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
+    /// Returns the reach: the local member count when no datagram left
+    /// the process, `None` otherwise — how many remote endpoints hear a
+    /// datagram is unknowable from here.
+    fn do_multicast(&self, from: Addr, group: GroupId, msg: M) -> Option<usize> {
         let mut members: Vec<Addr> = self
             .groups
             .lock()
@@ -475,10 +478,10 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
         members.retain(|&to| to != from);
-        let mut count = members.len();
+        let reach = members.len();
         // One serialization feeds every remote datagram, straight from the
         // thread's scratch buffer — no per-destination encode or alloc.
-        count += with_scratch(|w| {
+        let dgrams = with_scratch(|w| {
             encode_payload_into(from, group_addr(group), &msg, w);
             let payload = w.as_slice();
             let mut sent = 0;
@@ -514,7 +517,7 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
             }
             let _ = self.deliver_local(Envelope { from, to: last, msg });
         }
-        count
+        (dgrams == 0).then_some(reach)
     }
 
     /// Hand a frame to the peer's connection queue (establishing the
@@ -1350,9 +1353,14 @@ mod tests {
         a.join_group(addr_a, g);
         let (addr_b, _rx_b) = b.register();
         // b multicasts; its peer list names a's port.
-        let n = b.multicast(addr_b, g, 99);
-        assert!(n >= 1);
+        // A datagram left the process, so the reach is unknown.
+        assert_eq!(b.multicast(addr_b, g, 99), None);
         assert_eq!(recv_within(&rx_a, 2000).msg, 99);
+        // `a` names no peers: nothing leaves its process, so the reach is
+        // exactly its local members.
+        let (addr_a2, _rx_a2) = a.register();
+        assert_eq!(a.multicast(addr_a2, g, 7), Some(1));
+        assert_eq!(recv_within(&rx_a, 2000).msg, 7);
     }
 
     #[test]
